@@ -1,0 +1,12 @@
+"""Make the benchmark's modules and the simulator importable."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+from workloads import bootstrap  # noqa: E402
+
+bootstrap()
