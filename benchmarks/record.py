@@ -318,7 +318,7 @@ def bench_parallel(quick: bool) -> dict:
 
 
 def bench_shards(quick: bool) -> dict:
-    """The sharded single-run engine at K in {1, 2, 4}.
+    """Sharded runs (K independent sub-runs) at K in {1, 2, 4}.
 
     K = 1 is the classic engine (sharding is a model parameter, so each
     K simulates its own -- equally valid -- trajectory; walls are
@@ -360,9 +360,6 @@ def bench_shards(quick: bool) -> dict:
             "engine": "sharded",
             "wall_s": round(serial_s, 3),
             "events": serial.stats.events_processed,
-            "window": serial.stats.window,
-            "sync_rounds": serial.stats.sync_rounds,
-            "cross_messages": serial.stats.cross_messages,
         }
         if host_workers > 1:
             started = time.perf_counter()
@@ -936,7 +933,7 @@ def main(argv=None) -> int:
             )
 
     if "shards" in selected:
-        print("sharded single-run engine (K = 1/2/4)...", flush=True)
+        print("sharded runs (K = 1/2/4)...", flush=True)
         record["shards"] = bench_shards(args.quick)
         stamp_rss("shards")
         for k, entry in record["shards"]["by_shards"].items():

@@ -35,7 +35,7 @@ import hashlib
 import json
 import os
 import pickle
-from typing import Optional
+from typing import List, Optional
 
 from ..churn.scenarios import Scenario
 from .configs import ExperimentConfig
@@ -47,6 +47,7 @@ __all__ = [
     "capture_run_state",
     "restore_run_state",
     "config_hash",
+    "load_checkpoint_set",
     "resume_run",
 ]
 
@@ -77,7 +78,16 @@ __all__ = [
 #: config gained the hash-excluded ``health`` field; v6 files lack the
 #: entry and are refused rather than resumed with silently reset
 #: detectors.
-SCHEMA_VERSION = 7
+#: v8: a sharded run is K independent sub-runs, each writing its own
+#: classic file at ``<checkpoint_path>.shard{k}``; the v6
+#: ``shard_states`` envelope is gone.  The header records the parent's
+#: shard count (``shards``) and the sub-run's ``shard_index`` (None for
+#: a classic run); the envelope's ``config`` is the parent config, and
+#: a sub-run's state carries its ``sample_log`` rows for the exact
+#: reduction.  The config lost ``shard_link_latency``, so every v7 hash
+#: is stale: v7 and older files are refused by schema, before any hash
+#: comparison.
+SCHEMA_VERSION = 8
 
 #: Config fields that never affect the simulated trajectory, excluded
 #: from the compatibility hash: the run's label, how far it runs,
@@ -148,6 +158,9 @@ def capture_run_state(result) -> dict:
             if getattr(result, "health_monitor", None) is None
             else result.health_monitor.snapshot()
         ),
+        "sample_log": (
+            None if result.sample_log is None else result.sample_log.snapshot()
+        ),
     }
     return state
 
@@ -200,10 +213,23 @@ def restore_run_state(result, state: dict, *, restore_rng: bool = True) -> None:
     monitor = getattr(result, "health_monitor", None)
     if monitor is not None:
         monitor.restore(state.get("health"))
+    if result.sample_log is not None:
+        if state.get("sample_log") is None:
+            raise CheckpointError(
+                "a sharded sub-run cannot resume from a classic checkpoint: "
+                "it carries no sample log"
+            )
+        result.sample_log.restore(state["sample_log"])
 
 
 class CheckpointManager:
-    """Durable checkpoint files with a versioned, validated envelope."""
+    """Durable checkpoint files with a versioned, validated envelope.
+
+    ``shard_index`` marks the writer as sub-run ``shard_index`` of the
+    sharded ``config``: the header then records the parent's shard
+    count and the index, and the envelope carries the parent config, so
+    the ``.shard{k}`` set of one run validates and resumes as a unit.
+    """
 
     def __init__(
         self,
@@ -211,10 +237,12 @@ class CheckpointManager:
         config: ExperimentConfig,
         *,
         scenario: Optional[Scenario] = None,
+        shard_index: Optional[int] = None,
     ) -> None:
         self.path = path
         self.config = config
         self.scenario = scenario
+        self.shard_index = shard_index
         self.writes = 0
 
     # -- writing --------------------------------------------------------------
@@ -233,6 +261,7 @@ class CheckpointManager:
                 "policy": result.policy.name,
                 "time": result.ctx.sim.now,
                 "shards": self.config.shards,
+                "shard_index": self.shard_index,
             },
             "config": self.config,
             "scenario": self.scenario,
@@ -256,11 +285,15 @@ class CheckpointManager:
         header = payload.get("header") if isinstance(payload, dict) else None
         if not isinstance(header, dict):
             raise CheckpointError(f"{path!r} is not a checkpoint file")
-        if header.get("schema") != SCHEMA_VERSION:
+        if "shard_states" in payload or header.get("schema") != SCHEMA_VERSION:
             raise CheckpointError(
                 f"checkpoint {path!r} has schema {header.get('schema')!r}, "
-                f"this code reads schema {SCHEMA_VERSION}"
+                f"this code reads schema {SCHEMA_VERSION}; files from "
+                "schema 7 and older (including single-file sharded "
+                "checkpoints with a shard_states list) cannot be resumed"
             )
+        if not isinstance(payload.get("state"), dict):
+            raise CheckpointError(f"checkpoint {path!r} carries no run state")
         return payload
 
     @staticmethod
@@ -290,6 +323,48 @@ class CheckpointManager:
             )
 
 
+def load_checkpoint_set(path: str) -> List[dict]:
+    """Every payload behind ``path``, validated as one resumable unit.
+
+    A classic checkpoint is the file at ``path`` itself.  A sharded run
+    writes one file per sub-run at ``<path>.shard{k}`` (the suffix rule
+    its telemetry streams use), so a ``path`` with no file resolves to
+    those siblings.  The set must be complete: every file records the
+    same shard count, file ``k`` holds sub-run ``k``, and a hole or a
+    short set is refused with an error naming the missing index.
+    """
+    from ..health.aggregate import shard_stream_paths
+
+    try:
+        paths = shard_stream_paths(path)
+    except FileNotFoundError as exc:
+        raise CheckpointError(str(exc)) from None
+    payloads = [CheckpointManager.load(p) for p in paths]
+    counts = sorted({p["header"].get("shards") for p in payloads})
+    if len(counts) != 1:
+        raise CheckpointError(
+            f"checkpoint set {path!r} mixes files from runs with shard "
+            f"counts {counts}"
+        )
+    shards = counts[0]
+    if shards == 1 and len(payloads) == 1:
+        return payloads
+    for k, (file, payload) in enumerate(zip(paths, payloads)):
+        index = payload["header"].get("shard_index")
+        if index != k:
+            raise CheckpointError(
+                f"checkpoint {file!r} holds sub-run {index!r}, not sub-run {k}"
+            )
+    missing = list(range(len(payloads), shards))
+    if missing:
+        raise CheckpointError(
+            f"checkpoint set {path!r} is missing shard index "
+            f"{', '.join(map(str, missing))}: its files record "
+            f"shards={shards} but only {len(payloads)} exist"
+        )
+    return payloads
+
+
 def resume_run(
     path: str,
     *,
@@ -299,6 +374,11 @@ def resume_run(
     health=None,
 ):
     """Rebuild the checkpointed system and run it to the horizon.
+
+    ``path`` names a classic checkpoint file or, for a sharded run, the
+    ``checkpoint_path`` whose ``.shard{k}`` files hold the sub-runs (see
+    :func:`load_checkpoint_set`); each sub-run resumes from its own
+    file and the results reduce exactly as in a fresh sharded run.
 
     The checkpoint's own config drives the wiring (optionally with a
     longer ``horizon``); the policy is reconstructed by
@@ -314,31 +394,30 @@ def resume_run(
     # to keep the module graph acyclic at import time.
     from .runner import default_policy_factory, run_experiment
 
-    payload = CheckpointManager.load(path)
-    config: ExperimentConfig = payload["config"]
+    payloads = load_checkpoint_set(path)
+    config: ExperimentConfig = payloads[0]["config"]
     if horizon is not None:
-        if horizon < payload["header"]["time"]:
+        latest = max(p["header"]["time"] for p in payloads)
+        if horizon < latest:
             raise CheckpointError(
-                f"horizon {horizon} precedes the checkpoint time "
-                f"{payload['header']['time']}"
+                f"horizon {horizon} precedes the checkpoint time {latest}"
             )
         config = config.with_(horizon=horizon)
     if telemetry is not None:
         config = config.with_(telemetry=telemetry)
     if health is not None:
         config = config.with_(health=health)
-    CheckpointManager.validate(payload, config)
-    if "shard_states" in payload:
-        # A sharded (schema-v6, shards > 1) checkpoint: the window loop
-        # resumes from the recorded barrier, under any worker count.
+    for payload in payloads:
+        CheckpointManager.validate(payload, config)
+    if config.shards > 1:
         from .sharded import resume_sharded_run
 
         return resume_sharded_run(
-            payload, config, policy_factory=policy_factory
+            payloads, config, policy_factory=policy_factory
         )
     return run_experiment(
         config,
         policy_factory=policy_factory or default_policy_factory,
-        scenario=payload["scenario"],
-        resume_from=payload,
+        scenario=payloads[0]["scenario"],
+        resume_from=payloads[0],
     )

@@ -115,10 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="K",
-        help="partition the run into K logical shards executed by the "
-        "conservative parallel engine (a model parameter, like --seed: "
-        "different K are different trajectories; --workers controls "
-        "the processes and never changes results)",
+        help="partition the run into K independent regional sub-runs "
+        "whose samples reduce exactly into the global series (a model "
+        "parameter, like --seed: different K are different "
+        "trajectories; --workers spreads the sub-runs over processes "
+        "and never changes results)",
     )
     parser.add_argument(
         "--loss",
@@ -155,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint-path",
         metavar="PATH",
         default=None,
-        help="checkpoint file the periodic writer atomically replaces",
+        help="checkpoint file the periodic writer atomically replaces "
+        "(under --shards K, one file per sub-run at PATH.shard<k>)",
     )
     parser.add_argument(
         "--resume",
@@ -163,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="resume a checkpointed run and continue it to its horizon "
         "(or --horizon); resumption is bit-identical to the "
-        "uninterrupted run",
+        "uninterrupted run.  For a sharded run pass the checkpoint "
+        "path: its PATH.shard<k> files resume together",
     )
     telemetry = parser.add_argument_group(
         "telemetry",
@@ -196,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="log live progress (events/s, horizon %%, ETA) every "
-        "SECONDS of wall time (implies --telemetry)",
+        "SECONDS of wall time (implies --telemetry); under --shards K, "
+        "one line per finished sub-run instead",
     )
     telemetry.add_argument(
         "--audit-level",
@@ -436,6 +440,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         outputs = (("jsonl_path", "telemetry"), ("chrome_trace_path", "trace"))
         for attr, label in outputs:
             path = getattr(telemetry_cfg, attr)
+            if path and attr == "chrome_trace_path" and cfg.shards > 1:
+                # Span timings stay per sub-run; only JSONL merges.
+                path = f"{path}.shard<k>"
             if path:
                 logger.info("%s written to %s", label, path)
     logger.info("[%s completed in %.1fs]", args.experiment, elapsed)
@@ -444,7 +451,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def _resume(args) -> int:
     """Continue a checkpointed run (``--resume PATH``) and summarize it."""
-    from .checkpoint import CheckpointError, CheckpointManager, resume_run
+    from .checkpoint import CheckpointError, load_checkpoint_set, resume_run
+    from .sharded import ShardedRunResult
 
     started = time.perf_counter()
     try:
@@ -453,7 +461,7 @@ def _resume(args) -> int:
         logger.error("error: %s", exc)
         return 2
     try:
-        header = CheckpointManager.load(args.resume)["header"]
+        header = load_checkpoint_set(args.resume)[0]["header"]
         result = resume_run(
             args.resume,
             horizon=args.horizon,
@@ -464,7 +472,7 @@ def _resume(args) -> int:
         logger.error("error: %s", exc)
         return 1
     elapsed = time.perf_counter() - started
-    if hasattr(result, "stats"):  # sharded: no single overlay/ctx
+    if isinstance(result, ShardedRunResult):  # no single overlay/ctx
         stats = result.stats
         print(
             f"resumed {result.config.name!r} ({header['policy']}) from "

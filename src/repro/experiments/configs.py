@@ -18,7 +18,6 @@ from typing import Optional
 from ..core.config import DLMConfig
 from ..health.config import HealthConfig
 from ..protocol.faults import FaultPlan
-from ..protocol.latency import LatencyModel, default_shard_link_model
 from ..telemetry.config import TelemetryConfig
 
 __all__ = [
@@ -105,18 +104,13 @@ class ExperimentConfig:
     health: Optional[HealthConfig] = None
     #: Number of logical shards the population partitions into.  1 (the
     #: default) runs the classic single-process engine.  K > 1 runs K
-    #: regional sub-overlays coupled only through the shard-link mailbox
-    #: protocol (see :mod:`repro.experiments.sharded`).  Like ``seed``,
+    #: independent regional sub-overlays and reduces their samples
+    #: exactly (see :mod:`repro.experiments.sharded`).  Like ``seed``,
     #: the shard count is a *model* parameter -- it determines the
     #: trajectory and participates in the checkpoint config hash.  The
     #: worker-process count, by contrast, is pure execution (CLI
     #: ``--workers`` / ``REPRO_WORKERS``) and never changes results.
     shards: int = 1
-    #: Latency model of the inter-shard links.  Its ``min_delay()`` is
-    #: the conservative lookahead window, so it must be strictly
-    #: positive; ``None`` selects
-    #: :func:`repro.protocol.latency.default_shard_link_model`.
-    shard_link_latency: Optional[LatencyModel] = None
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -141,42 +135,11 @@ class ExperimentConfig:
             )
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.shards > 1:
-            if self.n // self.shards < 2:
-                raise ValueError(
-                    f"shards={self.shards} leaves fewer than 2 peers per "
-                    f"shard at n={self.n}; use fewer shards or more peers"
-                )
-            lookahead = self.shard_link_model().min_delay()
-            if lookahead <= 0:
-                raise ValueError(
-                    f"sharded runs need a positive lookahead window, but "
-                    f"shard_link_latency={self.shard_link_model()!r} has "
-                    f"min_delay() == {lookahead}: a zero lower bound means "
-                    "a cross-shard message could arrive arbitrarily soon "
-                    "and conservative synchronization is impossible.  Use "
-                    "a model with a positive floor, e.g. "
-                    "ShiftedLatency(LogNormalLatency(...), shift=0.5) or "
-                    "UniformLatency(0.5, 1.5)."
-                )
-            # The barrier grid is k * lookahead from t = 0.  A horizon on
-            # the grid makes the final barrier a grid point, so a resume
-            # with a longer horizon replays the same grid -- off-grid
-            # horizons would split the final window and perturb mailbox
-            # delivery batching across resume boundaries.
-            steps = round(self.horizon / lookahead)
-            if steps * lookahead != self.horizon:
-                raise ValueError(
-                    f"sharded runs need horizon to be an exact multiple of "
-                    f"the lookahead window {lookahead} (the shard link "
-                    f"model's min_delay()), got horizon={self.horizon}"
-                )
-
-    def shard_link_model(self) -> LatencyModel:
-        """The inter-shard link latency model (default if unset)."""
-        if self.shard_link_latency is not None:
-            return self.shard_link_latency
-        return default_shard_link_model()
+        if self.shards > 1 and self.n // self.shards < 2:
+            raise ValueError(
+                f"shards={self.shards} leaves fewer than 2 peers per "
+                f"shard at n={self.n}; use fewer shards or more peers"
+            )
 
     @property
     def k_l(self) -> float:

@@ -2,13 +2,14 @@
 
 Every paper artifact decomposes into *independent* simulated runs --
 replication seeds, figure-sweep points (Table 3's n-sweep, Figure 1's
-arrival mixes, DLM grid sweeps), policy-tournament arms.  Each run is a
-pure function of a picklable spec (config + seed + parameters), so they
-parallelize over a ``concurrent.futures.ProcessPoolExecutor`` with no
-shared state.  This module owns the worker-pool plumbing; the harnesses
+arrival mixes, DLM grid sweeps), policy-tournament arms, the sub-runs
+of one sharded run.  Each run is a pure function of a picklable spec
+(config + seed + parameters), so they parallelize over a
+``concurrent.futures.ProcessPoolExecutor`` with no shared state.  This
+module owns the worker-pool plumbing; the harnesses
 (:mod:`.replication`, :mod:`.sweeps`, :mod:`.table3`, :mod:`.figure1`,
-:mod:`.tournament`) define module-level worker functions and call
-:func:`parallel_map`.
+:mod:`.tournament`, :mod:`.sharded`) define module-level worker
+functions and call :func:`parallel_map`.
 
 Design rules the harnesses follow:
 

@@ -23,6 +23,7 @@ from ..core.dlm import DLMPolicy
 from ..core.policy import LayerPolicy
 from ..health.plane import HealthMonitor
 from ..metrics.layerstats import LayerStatsSampler
+from ..metrics.shardstats import ShardSampleLog
 from ..metrics.timeseries import SeriesBundle
 from ..search.content import ContentCatalog
 from ..search.index import ContentDirectory
@@ -60,6 +61,9 @@ class RunResult:
     checkpoint_manager: Optional[CheckpointManager] = None
     checkpoint_process: Optional[PeriodicProcess] = None
     health_monitor: Optional["HealthMonitor"] = None
+    #: Raw aggregate rows per sample tick; set on a sharded sub-run
+    #: (``run_experiment(config, shard=k)``) for the exact reduction.
+    sample_log: Optional[ShardSampleLog] = None
 
     @property
     def overlay(self):
@@ -101,7 +105,7 @@ def run_experiment(
     run: bool = True,
     resume_from: Optional[dict] = None,
     fresh_rng_domain: Optional[int] = None,
-    populate: bool = True,
+    shard: Optional[int] = None,
 ) -> "RunResult":
     """Wire and (by default) execute one run to ``config.horizon``.
 
@@ -116,17 +120,23 @@ def run_experiment(
     streams *out*: the wired system draws from the given RNG domain
     instead, so forked futures are independent of the prefix's draws.
 
-    ``populate=False`` wires the system without seeding its population
-    -- the sharded resume path, which restores captured state *after*
-    attaching its own shard-plane processes so their wiring order (and
-    hence process tokens) matches a fresh sharded run.
-
     ``config.shards > 1`` dispatches the whole run to the sharded
     engine (:mod:`repro.experiments.sharded`) and returns its
     :class:`~repro.experiments.sharded.ShardedRunResult` -- same
-    ``config``/``series`` surface, no single ``ctx``.
+    ``config``/``series`` surface, no single ``ctx``.  ``shard=k``
+    instead runs only sub-run ``k`` of that config: the classic run of
+    :func:`~repro.experiments.sharded.shard_config` plus a
+    :class:`~repro.metrics.shardstats.ShardSampleLog`
+    (``result.sample_log``), checkpointing to ``<checkpoint_path>
+    .shard{k}`` under the parent config.  The sharded engine runs each
+    sub-run this way.
     """
-    if config.shards > 1:
+    parent = None
+    if shard is not None:
+        from .sharded import shard_config
+
+        parent, config = config, shard_config(config, shard)
+    elif config.shards > 1:
         if not run or resume_from is not None or fresh_rng_domain is not None:
             raise ValueError(
                 "sharded configs (shards > 1) support neither run=False, "
@@ -173,7 +183,7 @@ def run_experiment(
         ctx, policy, lifetimes, capacities, replacement=True, scenario=scenario
     )
     wire_span.__exit__(None, None, None)
-    if resume_from is None and populate:
+    if resume_from is None:
         with telemetry.span("run.populate"):
             driver.populate(config.n, warmup=config.warmup)
 
@@ -203,6 +213,11 @@ def run_experiment(
         telemetry, ctx, driver=driver, policy=policy, workload=workload
     )
 
+    sample_log = None
+    if parent is not None:
+        sample_log = ShardSampleLog()
+        sampler.add_sample_listener(sample_log.observe)
+
     health_monitor = None
     if config.health is not None:
         health_monitor = HealthMonitor(
@@ -224,11 +239,15 @@ def run_experiment(
         workload=workload,
         directory=directory,
         health_monitor=health_monitor,
+        sample_log=sample_log,
     )
 
     if config.checkpoint_every is not None:
         manager = CheckpointManager(
-            config.checkpoint_path, config, scenario=scenario
+            config.checkpoint_path,
+            config if parent is None else parent,
+            scenario=scenario,
+            shard_index=shard,
         )
         result.checkpoint_manager = manager
         result.checkpoint_process = PeriodicProcess(

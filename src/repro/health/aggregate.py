@@ -1,20 +1,18 @@
 """Cross-shard telemetry aggregation: K per-shard streams as one run.
 
-The sharded engine (DESIGN.md §11) exports one JSONL stream per shard
-(``<path>.shard0`` ... ``.shard{K-1}``).  This module merges them back
-into a single run-level stream so every read-back CLI -- ``repro
-stats`` / ``trace`` / ``health`` -- sees a sharded run exactly like a
-classic run:
+A sharded run (DESIGN.md §11) is K independent sub-runs, each exporting
+its own JSONL stream (``<path>.shard0`` ... ``.shard{K-1}``).  This
+module merges them back into a single run-level stream so every
+read-back CLI -- ``repro stats`` / ``trace`` / ``health`` -- sees a
+sharded run exactly like a classic run:
 
 * **record lines** k-way merge by the ``(t, shard, per-shard seq)``
-  total order -- the telemetry-stream image of the mailbox protocol's
-  ``(arrival, origin_shard, origin_seq)`` key.  Merged records get a
-  fresh global ``seq``, keep their per-shard sequence as ``sseq``, and
-  carry their origin as ``shard``;
+  total order, a key no two records share and no worker layout can
+  change.  Merged records get a fresh global ``seq``, keep their
+  per-shard sequence as ``sseq``, and carry their origin as ``shard``;
 * **meta lines** reduce exactly: numeric metrics sum, histograms merge
-  (count/sum/min/max/buckets), the per-shard execution gauges
-  (``shard.*``, wall-derived) are dropped, audit verdict tallies and
-  truncation counts sum, span aggregates merge by name.
+  (count/sum/min/max/buckets), audit verdict tallies and truncation
+  counts sum, span aggregates merge by name.
 
 :func:`resolve_run_stream` is the CLI entry point: given a path it
 yields the file itself when it exists, otherwise it resolves the
@@ -48,12 +46,14 @@ _SHARD_NAME = re.compile(r"\.s\d+$")
 
 
 def shard_stream_paths(path: str) -> List[str]:
-    """The stream files behind ``path``: itself, or its shard siblings.
+    """The files behind ``path``: itself, or its shard siblings.
 
     A plain existing file resolves to itself.  Otherwise ``path`` is
     treated as a sharded-run prefix and every ``<path>.shard{k}``
     sibling is collected in shard-index order; holes (shard 0..K-1 not
-    contiguous) are refused rather than silently merged short.
+    contiguous) are refused, naming the missing indices, rather than
+    silently merged short.  Sharded checkpoints use the same suffix
+    rule and resolve through here too.
     """
     p = Path(path)
     if p.is_file():
@@ -69,12 +69,14 @@ def shard_stream_paths(path: str) -> List[str]:
                 found[int(match.group(1))] = str(sibling)
     if not found:
         raise FileNotFoundError(
-            f"no telemetry stream at {path!r} and no {path}.shard<k> files"
+            f"no file at {path!r} and no {path}.shard<k> files"
         )
     indices = sorted(found)
-    if indices != list(range(len(indices))):
+    missing = sorted(set(range(indices[-1] + 1)) - set(indices))
+    if missing:
         raise FileNotFoundError(
-            f"sharded stream {path!r} is missing shards: found {indices}"
+            f"sharded set {path!r} is missing shard index "
+            f"{', '.join(map(str, missing))} (found {indices})"
         )
     return [found[k] for k in indices]
 
@@ -195,10 +197,6 @@ def merge_streams(
     metrics: Dict[str, object] = {}
     for stream in streams:
         for name, value in (stream.metrics or {}).items():
-            if name.startswith("shard."):
-                # Per-shard execution gauges (index, idle fraction):
-                # wall-derived and meaningless summed across shards.
-                continue
             metrics[name] = (
                 _merge_metric(metrics[name], value)
                 if name in metrics

@@ -75,9 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="K",
-        help="profile the conservative sharded engine at K logical "
-        "shards (experiment harnesses only; the profile covers the "
-        "parent's window loop plus, when serial, the shard schedulers)",
+        help="profile a sharded run of K independent sub-runs "
+        "(experiment harnesses only; with one worker the sub-runs run "
+        "in this process and appear in the profile, with more only "
+        "the parent's fan-out and reduction do)",
     )
     parser.add_argument(
         "--workers",

@@ -39,8 +39,6 @@ class EventKind:
     SCENARIO_SHIFT = "scenario_shift"
     TRANSPORT_DELIVER = "transport_deliver"
     TRANSPORT_TIMEOUT = "transport_timeout"
-    SHARD_GOSSIP = "shard_gossip"
-    SHARD_DELIVER = "shard_deliver"
     GENERIC = "generic"
 
     _ALL = (
@@ -55,8 +53,6 @@ class EventKind:
         SCENARIO_SHIFT,
         TRANSPORT_DELIVER,
         TRANSPORT_TIMEOUT,
-        SHARD_GOSSIP,
-        SHARD_DELIVER,
         GENERIC,
     )
 

@@ -27,7 +27,7 @@ from .plane import (
     bind_standard_producers,
     telemetry_from_config,
 )
-from .progress import ProgressReporter, WindowProgress
+from .progress import ProgressReporter
 from .records import (
     HEALTH_FIELDS,
     SCHEMAS,
@@ -62,7 +62,6 @@ __all__ = [
     "record_as_dict",
     "register_schema",
     "ProgressReporter",
-    "WindowProgress",
     "export_run",
     "iter_jsonl",
     "write_jsonl",

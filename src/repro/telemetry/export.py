@@ -33,7 +33,6 @@ __all__ = [
     "write_jsonl",
     "iter_jsonl",
     "write_chrome_trace",
-    "write_sharded_chrome_trace",
     "export_run",
 ]
 
@@ -135,52 +134,6 @@ def write_chrome_trace(path: str, spans) -> int:
         target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(json.dumps(payload, indent=1) + "\n")
     return len(events)
-
-
-def write_sharded_chrome_trace(path: str, shard_intervals: dict) -> int:
-    """Write per-shard span intervals as one multi-lane Chrome trace.
-
-    ``shard_intervals`` maps shard index -> span interval tuples (the
-    :meth:`SpanTimer.intervals` layout).  Each shard becomes its own
-    ``pid`` lane, named via ``process_name`` metadata events, so the
-    viewer shows the K shards' phases side by side -- the idle gaps
-    between a shard's windows are the synchronization cost made
-    visible.  Returns the number of ``X`` events written.
-    """
-    events = []
-    count = 0
-    for index in sorted(shard_intervals):
-        events.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": index,
-                "args": {"name": f"shard {index}"},
-            }
-        )
-        for name, start, duration, depth in shard_intervals[index]:
-            events.append(
-                {
-                    "name": name,
-                    "ph": "X",
-                    "ts": round(start * 1e6, 1),
-                    "dur": round(duration * 1e6, 1),
-                    "pid": index,
-                    "tid": depth,
-                    "cat": "repro",
-                }
-            )
-            count += 1
-    payload = {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {"exporter": "repro.telemetry", "schema": 1},
-    }
-    target = Path(path)
-    if target.parent != Path(""):
-        target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(payload, indent=1) + "\n")
-    return count
 
 
 def export_run(

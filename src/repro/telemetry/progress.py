@@ -23,7 +23,7 @@ from typing import Optional
 
 from ..sim.events import EventKind
 
-__all__ = ["ProgressReporter", "WindowProgress"]
+__all__ = ["ProgressReporter"]
 
 logger = logging.getLogger("repro.progress")
 
@@ -37,7 +37,7 @@ def format_progress(
     rate: float,
     sim_rate: float,
 ) -> str:
-    """The one-line progress format shared by both reporters."""
+    """The one-line progress format of :class:`ProgressReporter`."""
     pct = 100.0 * sim_t / horizon if horizon else 0.0
     if sim_rate > 0 and horizon:
         eta = f"{(horizon - sim_t) / sim_rate:.0f}s"
@@ -110,62 +110,6 @@ class ProgressReporter:
         sim = self._sim
         events = sim.events_processed
         sim_t = sim.now
-        dt_wall = max(wall - self._last_wall, 1e-9)
-        rate = (events - self._last_events) / dt_wall
-        sim_rate = (sim_t - self._last_sim_t) / dt_wall
-        line = format_progress(
-            self.label,
-            sim_t=sim_t,
-            horizon=self.horizon,
-            events=events,
-            rate=rate,
-            sim_rate=sim_rate,
-        )
-        logger.info(line)
-        self._last_wall = wall
-        self._last_events = events
-        self._last_sim_t = sim_t
-        self.reports += 1
-        return line
-
-
-class WindowProgress:
-    """Run-level progress for the sharded engine's barrier loop.
-
-    The per-shard reporters are suppressed under ``--shards K`` (K
-    interleaved stderr lines labelled ``name.s{k}`` misreport the run:
-    each shows shard-local events and its own horizon fraction).  The
-    window loop instead calls :meth:`update` at every barrier with the
-    barrier time and the *summed* event count, and this reporter
-    reduces them to one run-level line at the same wall-clock cadence
-    -- pure observation, like everything else in this module.
-    """
-
-    def __init__(
-        self,
-        *,
-        horizon: float,
-        every: float = 5.0,
-        label: str = "run",
-        clock=time.monotonic,
-    ) -> None:
-        if every <= 0:
-            raise ValueError(f"progress cadence must be > 0, got {every}")
-        self.horizon = horizon
-        self.every = every
-        self.label = label
-        self._clock = clock
-        now = clock()
-        self._last_wall = now
-        self._last_events = 0
-        self._last_sim_t = 0.0
-        self.reports = 0
-
-    def update(self, sim_t: float, events: int) -> Optional[str]:
-        """One barrier reached; logs (and returns) a line when due."""
-        wall = self._clock()
-        if wall - self._last_wall < self.every:
-            return None
         dt_wall = max(wall - self._last_wall, 1e-9)
         rate = (events - self._last_events) / dt_wall
         sim_rate = (sim_t - self._last_sim_t) / dt_wall

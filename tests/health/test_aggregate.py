@@ -30,7 +30,7 @@ def shard_lines(index, records, *, metrics=None, verdicts=None):
         {
             "kind": "metrics",
             "t": 50.0,
-            "data": {"shard.index": index, **(metrics or {})},
+            "data": dict(metrics or {}),
         }
     )
     lines.append(
@@ -60,7 +60,7 @@ class TestShardStreamPaths:
     def test_hole_in_the_shard_sequence_is_an_error(self, tmp_path):
         for k in (0, 2):
             (tmp_path / f"run.jsonl.shard{k}").write_text("{}\n")
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(FileNotFoundError, match="missing shard index 1"):
             shard_stream_paths(str(tmp_path / "run.jsonl"))
 
     def test_nothing_at_all_is_an_error(self, tmp_path):
@@ -148,7 +148,6 @@ class TestMergeStreams:
         assert header["shards"] == 2
 
         metrics = next(line for line in out if line["kind"] == "metrics")
-        assert "shard.index" not in metrics["data"]  # wall/identity gauges drop
         assert metrics["data"]["dlm.promotions"] == 12
         lat = metrics["data"]["lat"]
         assert lat["count"] == 4

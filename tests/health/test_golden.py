@@ -5,8 +5,7 @@ be bit-identical across worker layouts under ``shards = K``, across
 checkpoint/resume (classic and sharded), and between a classic run's
 single file and the same stream read through the shard-prefix path.
 Spans are the one wall-clock meta line and are excluded from stream
-comparisons; merged metrics already drop the wall-derived ``shard.*``
-gauges.
+comparisons.
 """
 
 from __future__ import annotations

@@ -1,17 +1,11 @@
-"""Property tests for the shard plane's two determinism pillars.
+"""Property tests for the sharded engine's exact reduction.
 
-1. **Mailbox merges are interleaving-invariant.**  The merged delivery
-   order of an inbox is a pure function of the messages' total-order
-   keys ``(arrival, origin, origin_seq)`` -- shuffling the arrival
-   interleaving (worker scheduling, pipe order, drain order) never
-   changes it, and no two in-flight messages compare equal.
-
-2. **Per-shard aggregate reduction equals the single-shard scan.**
-   For an arbitrary peer population, partitioned arbitrarily across K
-   shards, summing the shards' exact fixed-point rows reproduces the
-   unpartitioned scan bit for bit -- every derived series value is
-   ``==``, not approximately equal.  This is what makes the sharded
-   engine's global Figure-4..8 series trustworthy.
+**Per-shard aggregate reduction equals the single-shard scan.**  For an
+arbitrary peer population, partitioned arbitrarily across K shards,
+summing the shards' exact fixed-point rows reproduces the unpartitioned
+scan bit for bit -- every derived series value is ``==``, not
+approximately equal.  This is what makes the sharded engine's global
+Figure-4..8 series trustworthy.
 """
 
 from __future__ import annotations
@@ -21,48 +15,8 @@ from hypothesis import strategies as st
 
 from repro.metrics.shardstats import reduce_sample_logs
 from repro.overlay.aggregates import _fixed
-from repro.sim.shard import ShardMessage, merge_messages
 
 # -- strategies ---------------------------------------------------------------
-
-_arrivals = st.floats(
-    min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
-)
-
-
-@st.composite
-def inboxes(draw):
-    """A set of in-flight messages with necessarily-unique order keys.
-
-    Seqs are drawn per origin shard as sorted unique ints, mirroring the
-    monotone per-origin counter: two messages can share an arrival time
-    (or even arrival and origin), never the full key.
-    """
-    nshards = draw(st.integers(min_value=2, max_value=5))
-    dest = draw(st.integers(min_value=0, max_value=nshards - 1))
-    messages = []
-    for origin in range(nshards):
-        if origin == dest:
-            continue
-        seqs = draw(
-            st.lists(
-                st.integers(min_value=0, max_value=50),
-                unique=True,
-                max_size=6,
-            )
-        )
-        for seq in sorted(seqs):
-            messages.append(
-                ShardMessage(
-                    arrival=draw(_arrivals),
-                    origin=origin,
-                    origin_seq=seq,
-                    dest=dest,
-                    payload={"seq": seq},
-                )
-            )
-    return messages
-
 
 #: One peer: (capacity, join_time, is_super, leaf_link_count).  The
 #: capacities include non-dyadic and extreme magnitudes so a float
@@ -96,23 +50,6 @@ def _rows_for(population, ticks):
 
 
 # -- properties ---------------------------------------------------------------
-
-
-@settings(max_examples=200, deadline=None)
-@given(inboxes(), st.randoms(use_true_random=False))
-def test_merge_invariant_to_interleaving(messages, rnd):
-    expected = merge_messages(messages)
-    shuffled = list(messages)
-    rnd.shuffle(shuffled)
-    assert merge_messages(shuffled) == expected
-
-
-@settings(max_examples=200, deadline=None)
-@given(inboxes())
-def test_merge_keys_strictly_increase(messages):
-    merged = merge_messages(messages)
-    keys = [m.order_key for m in merged]
-    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 @settings(max_examples=150, deadline=None)

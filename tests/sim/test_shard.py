@@ -1,23 +1,11 @@
-"""Unit tests for the sim-layer shard primitives.
-
-Covers seed/partition derivation, the ``(arrival, origin, origin_seq)``
-total order, and the :class:`ShardContext` mailbox contract (send
-validation, deterministic delivery, barrier snapshot/restore).
-"""
+"""Unit tests for the sim-layer shard primitives: seed and partition
+derivation."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim.events import EventKind
-from repro.sim.scheduler import Simulator
-from repro.sim.shard import (
-    ShardContext,
-    ShardMessage,
-    merge_messages,
-    partition_counts,
-    shard_seed,
-)
+from repro.sim.shard import partition_counts, shard_seed
 
 
 class TestShardSeed:
@@ -57,135 +45,3 @@ class TestPartitionCounts:
             partition_counts(10, 0)
         with pytest.raises(ValueError):
             partition_counts(2, 3)
-
-
-class TestMergeMessages:
-    def test_orders_by_arrival_then_origin_then_seq(self):
-        msgs = [
-            ShardMessage(arrival=2.0, origin=1, origin_seq=0, dest=0),
-            ShardMessage(arrival=1.0, origin=2, origin_seq=5, dest=0),
-            ShardMessage(arrival=1.0, origin=1, origin_seq=7, dest=0),
-            ShardMessage(arrival=1.0, origin=1, origin_seq=3, dest=0),
-        ]
-        merged = merge_messages(msgs)
-        assert [m.order_key for m in merged] == [
-            (1.0, 1, 3),
-            (1.0, 1, 7),
-            (1.0, 2, 5),
-            (2.0, 1, 0),
-        ]
-
-    def test_invariant_to_input_order(self):
-        import itertools
-
-        msgs = [
-            ShardMessage(arrival=1.0, origin=0, origin_seq=1, dest=2),
-            ShardMessage(arrival=1.0, origin=1, origin_seq=0, dest=2),
-            ShardMessage(arrival=0.5, origin=1, origin_seq=1, dest=2),
-        ]
-        expected = merge_messages(msgs)
-        for perm in itertools.permutations(msgs):
-            assert merge_messages(perm) == expected
-
-
-def make_ctx(index=0, nshards=2, lookahead=0.5):
-    sim = Simulator(seed=7)
-    return ShardContext(sim, index, nshards, lookahead), sim
-
-
-class TestShardContext:
-    def test_ctor_validation(self):
-        sim = Simulator(seed=1)
-        with pytest.raises(ValueError):
-            ShardContext(sim, 2, 2, 0.5)
-        with pytest.raises(ValueError):
-            ShardContext(sim, -1, 2, 0.5)
-        with pytest.raises(ValueError):
-            ShardContext(sim, 0, 2, 0.0)
-
-    def test_send_assigns_monotone_seqs(self):
-        ctx, sim = make_ctx()
-        a = ctx.send(1, 0.5, {"x": 1})
-        b = ctx.send(1, 0.75, {"x": 2})
-        assert (a.origin_seq, b.origin_seq) == (0, 1)
-        assert a.arrival == sim.now + 0.5
-        assert ctx.sent == 2
-
-    def test_send_validation(self):
-        ctx, _ = make_ctx()
-        with pytest.raises(ValueError, match="out of range"):
-            ctx.send(5, 0.5, {})
-        with pytest.raises(ValueError, match="self"):
-            ctx.send(0, 0.5, {})
-        with pytest.raises(ValueError, match="min_delay"):
-            ctx.send(1, 0.25, {})
-
-    def test_drain_clears_outbox(self):
-        ctx, _ = make_ctx()
-        ctx.send(1, 0.5, {})
-        out = ctx.drain_outbox()
-        assert len(out) == 1
-        assert ctx.drain_outbox() == []
-
-    def test_deliver_schedules_in_merged_order(self):
-        ctx, sim = make_ctx(index=0)
-        seen = []
-        sim.on(EventKind.SHARD_DELIVER, lambda s, e: seen.append(e.payload))
-        inbox = [
-            ShardMessage(arrival=1.0, origin=1, origin_seq=1, dest=0,
-                         payload={"tag": "late"}),
-            ShardMessage(arrival=1.0, origin=1, origin_seq=0, dest=0,
-                         payload={"tag": "early"}),
-        ]
-        assert ctx.deliver(inbox) == 2
-        sim.run(until=2.0)
-        assert [p["data"]["tag"] for p in seen] == ["early", "late"]
-        assert [p["origin_seq"] for p in seen] == [0, 1]
-        assert ctx.received == 2
-
-    def test_deliver_rejects_misrouted_message(self):
-        ctx, _ = make_ctx(index=0)
-        wrong = ShardMessage(arrival=1.0, origin=1, origin_seq=0, dest=1)
-        with pytest.raises(ValueError, match="for shard 1"):
-            ctx.deliver([wrong])
-
-    def test_deliver_rejects_stale_arrival(self):
-        ctx, sim = make_ctx(index=0)
-        sim.run(until=5.0)
-        stale = ShardMessage(arrival=4.0, origin=1, origin_seq=0, dest=0)
-        with pytest.raises(RuntimeError, match="lookahead"):
-            ctx.deliver([stale])
-
-    def test_advance_counts_events_and_rounds(self):
-        ctx, sim = make_ctx()
-        sim.on("tick", lambda s, e: None)
-        sim.schedule(0.1, "tick")
-        sim.schedule(0.2, "tick")
-        assert ctx.advance(0.5) == 2
-        assert ctx.sync_rounds == 1
-        assert sim.now == 0.5
-
-    def test_snapshot_refuses_undrained_outbox(self):
-        ctx, _ = make_ctx()
-        ctx.send(1, 0.5, {})
-        with pytest.raises(RuntimeError, match="outbox"):
-            ctx.snapshot()
-
-    def test_snapshot_restore_roundtrip(self):
-        ctx, _ = make_ctx()
-        ctx.send(1, 0.5, {})
-        ctx.drain_outbox()
-        ctx.deliver(
-            [ShardMessage(arrival=1.0, origin=1, origin_seq=0, dest=0)]
-        )
-        ctx.sync_rounds = 3
-        state = ctx.snapshot()
-
-        fresh, _ = make_ctx()
-        fresh.restore(state)
-        assert fresh._next_seq == 1
-        assert fresh.sent == 1
-        assert fresh.received == 1
-        assert fresh.sync_rounds == 3
-        # The restored counter continues, never reuses, the seq space.
-        assert fresh.send(1, 0.5, {}).origin_seq == 1
