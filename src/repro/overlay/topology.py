@@ -25,7 +25,7 @@ valid) and *evicted* back to the detached pool on :meth:`remove_peer`, so
 leave listeners still read the peer's final state after its overlay slot
 has been recycled.  All mutation paths here write the store columns
 directly -- the degree columns (``n_super_links``/``n_leaf_links``) are
-maintained inline and are what the batch DLM evaluator reads as ``l_nn``.
+maintained inline and are what the DLM estimator reads as ``l_nn``.
 
 Observers can subscribe to four event streams, which together are
 sufficient to maintain any derived state (the search index relies on
@@ -88,7 +88,7 @@ class Overlay:
 
     def __init__(self) -> None:
         #: Columnar state for every registered peer (plus the pid->slot
-        #: map used by the batch evaluator's vectorized gathers).
+        #: map used by the related-set comparison's vectorized gathers).
         self.store = PeerStore(track_pids=True)
         self._peers: Dict[int, Peer] = {}
         # Bound-lookup cache: `get` is the hottest overlay call -- DLM's

@@ -110,7 +110,7 @@ class TestConstantTimeSampling:
         assert sampler.bundle["super_mean_lnn"].last()[1] == 2.0
 
     def test_matches_reference_scan(self, system):
-        from repro.metrics.layerstats import scan_layer_stats
+        from tests.oracles.layerstats import scan_layer_stats
 
         sim, ov = system
         sampler = LayerStatsSampler(sim, ov, interval=5.0)
